@@ -177,7 +177,10 @@ def _sweep_overrides(axis, value):
 def resolve_threads(threads=None):
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(int(env), 1)
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise InputError(
+                "%s must be an integer >= 1, got %r" % (THREADS_ENV, env))
+        return int(env)
     if threads:
         return max(int(threads), 1)
     return min(os.cpu_count() or 1, 8)

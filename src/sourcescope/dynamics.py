@@ -9,8 +9,10 @@ The mild solution of  u' = Au + F,  u(0) = u0  with
 is  u(t) = T(t)u0 + sum_{t_j < t} int_{t_j}^t T(t-s) h_j e^{-rho_j(s-t_j)} ds
          + int_0^t T(t-s) eta(s) ds.
 
-Catalyst terms have a nodewise closed form; the background convolution is
-computed by composite Gauss quadrature.
+Every term has a closed form in t and a(x) (see `_phi`); `Trajectory`
+evaluates them once per distinct symbol value and projects onto sensors
+without forming states.  `evolve_state` keeps a direct quadrature of the
+background convolution as an independent reference.
 """
 from __future__ import annotations
 
@@ -149,22 +151,28 @@ def catalyst_response(a, c, t):
         raise InputError(
             "catalyst_response asked at t = %g before intake %g"
             % (t, c.t_intake))
-    return GridFunction(_catalyst_values(a.symbol.values, c, np.asarray([t]))[0])
+    return GridFunction(
+        _phi(a.symbol.values, c.rho, [t - c.t_intake])[0] * c.h.values)
 
 
-def _catalyst_values(avals, c, ts):
-    """Catalyst response values, shape (len(ts), nodes); 0 before intake."""
-    dt = ts - c.t_intake
-    dt = np.where(dt > 0, dt, 0.0)
-    denom = avals + c.rho
-    singular = np.abs(denom) < SINGULAR_TOL
-    safe = np.where(singular, 1.0, denom)
-    grow = np.exp(np.outer(dt, avals))
-    decay = np.exp(-c.rho * dt)[:, None]
-    regular = (grow - decay) / safe
-    limit = dt[:, None] * decay
-    out = np.where(singular[None, :], limit, regular) * c.h.values[None, :]
-    return np.where((dt > 0)[:, None], out, 0.0)
+def _phi(lam, r, tau):
+    """int_0^tau e^{lam(tau-s)} e^{-rs} ds, shape (len(tau), len(lam)).
+
+    Equal to (e^{lam tau} - e^{-r tau}) / d with d = lam + r (r may be
+    complex), it is written as e^{lead tau} expm1(q tau) / q with
+    Re(q) <= 0, so nothing overflows when the result is finite; below
+    SINGULAR_TOL the limit tau e^{-r tau} is used.  Zero for tau <= 0.
+    """
+    tau = np.maximum(np.asarray(tau, dtype=float), 0.0)[:, None]
+    d = lam + r
+    up = d.real >= 0
+    q = np.where(up, -d, d)
+    lead = np.where(up, lam, -r)
+    singular = np.abs(d) < SINGULAR_TOL
+    safe = np.where(singular, 1.0, q)
+    regular = np.exp(lead * tau) * np.expm1(safe * tau) / safe
+    limit = tau * np.exp(-r * tau)
+    return np.where(singular, limit, regular)
 
 
 def forcing_values(model, ts):
@@ -200,83 +208,80 @@ def background_exp_oracle(a, bg, t):
 
 
 class Trajectory:
-    """Evaluates the mild solution u(t) for t in [0, horizon].
+    """The mild solution u(t) for t in [0, horizon], in closed form.
 
-    The background convolution int_0^t e^{a(t-s)} w(s) ds profile is written
-    as profile * e^{at} * C(t) with C(t) = int_0^t e^{-as} w(s) ds; C is
-    accumulated once on a fine panel grid and completed per query by a
-    partial-panel Gauss rule, so batched evaluation stays cheap.
+    Component c is a time factor F_c(t, a) times a vector v_c: e^{at} u0,
+    phi(a, rho_j, t - t_j) h_j, and phi(a, L, t) or Im phi(a, -iL, t) times
+    the background profile.  The factors are evaluated once per distinct
+    symbol value, the spectrum of the multiplication operator.
     """
 
-    def __init__(self, model, a, horizon, beta_q=DEFAULT_BETA_Q, gl_order=8):
+    def __init__(self, model, a, horizon):
         if horizon <= 0:
             raise InputError("horizon must be positive")
         _check_same_nodes(model.u0, a.symbol)
         self.model = model
         self.generator = a
         self.horizon = float(horizon)
-        self.beta_q = float(beta_q)
-        self.gl_order = int(gl_order)
-        self._xr, self._wr = np.polynomial.legendre.leggauss(self.gl_order)
+        self._lam, self._group, counts = np.unique(
+            a.symbol.values, return_inverse=True, return_counts=True)
+        self._order = np.argsort(self._group, kind="stable")
+        self._starts = np.cumsum(counts) - counts
         bg = model.background
-        if bg.is_zero:
-            self._ccum = None
-        else:
-            n_panels = int(np.ceil(self.horizon / self.beta_q))
-            edges = np.linspace(0.0, n_panels * self.beta_q, n_panels + 1)
-            avals = a.symbol.values
-            # per-panel Gauss contributions to C, then prefix sums
-            half = self.beta_q / 2.0
-            mids = (edges[:-1] + edges[1:]) / 2.0
-            s = mids[:, None] + half * self._xr[None, :]
-            w = bg.weight(s) * (half * self._wr[None, :])
-            contrib = np.einsum("pm,pmx->px", w,
-                                np.exp(-np.multiply.outer(s, avals)))
-            ccum = np.zeros((n_panels + 1, avals.size))
-            np.cumsum(contrib, axis=0, out=ccum[1:])
-            self._edges = edges
-            self._ccum = ccum
+        terms = [(None, 0.0, model.u0.values)]
+        terms += [(c.rho, c.t_intake, c.h.values) for c in model.catalysts]
+        if not bg.is_zero:
+            rate = bg.L if bg.kind == "exp_decay" else -1j * bg.L
+            terms.append((rate, 0.0, bg.profile.values))
+        terms = [t for t in terms if np.any(t[2])]
+        self._terms = [(r, t0) for r, t0, _ in terms]
+        self._vectors = np.reshape([v for *_, v in terms], (-1, model.nodes))
 
     def state(self, t):
         return GridFunction(self.state_values(np.asarray([t]))[0])
 
-    def state_values(self, ts, chunk=1024):
-        """u(t) for each t in ts, shape (len(ts), nodes)."""
+    def state_values(self, ts):
+        """u(t) for each t in ts, shape (len(ts), nodes): the factors
+        scattered back onto the nodes."""
+        return np.einsum("tcx,cx->tx", self._factors(ts)[:, :, self._group],
+                         self._vectors)
+
+    def projected(self, ts, W, chunk=1024):
+        """state_values(ts) @ W without forming states: sum_c F_c(ts) @ C_c,
+        with C_c = v_c * W summed over each group of equal symbol values."""
+        W = np.asarray(W, dtype=float)[self._order]
+        width = len(self._terms) * self._lam.size
+        cols = np.add.reduceat(self._vectors[:, self._order, None] * W,
+                               self._starts, axis=1).reshape(width, W.shape[1])
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((ts.size, W.shape[1]))
+        for lo in range(0, ts.size, chunk):
+            part = ts[lo:lo + chunk]
+            out[lo:lo + part.size] = \
+                self._factors(part).reshape(part.size, width) @ cols
+        if not np.all(np.isfinite(out)):
+            raise self._overflow()
+        return out
+
+    def _factors(self, ts):
+        """F_c(t, a_k), shape (len(ts), components, distinct values)."""
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < 0) or np.any(ts > self.horizon + 1e-12):
             raise InputError("trajectory evaluated outside [0, horizon]")
-        out = np.empty((ts.size, self.model.nodes))
-        for lo in range(0, ts.size, chunk):
-            sl = slice(lo, min(lo + chunk, ts.size))
-            out[sl] = self._state_chunk(ts[sl])
+        out = np.empty((ts.size, len(self._terms), self._lam.size))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for c, (r, t0) in enumerate(self._terms):
+                    f = np.exp(np.outer(ts, self._lam)) if r is None \
+                        else _phi(self._lam, r, ts - t0)
+                    out[:, c] = f.imag if np.iscomplexobj(f) else f
+        except FloatingPointError:
+            raise self._overflow() from None
         return out
 
-    def _state_chunk(self, ts):
-        avals = self.generator.symbol.values
-        grow = np.exp(np.outer(ts, avals))
-        u = grow * self.model.u0.values[None, :]
-        for c in self.model.catalysts:
-            u += _catalyst_values(avals, c, ts)
-        if self._ccum is not None:
-            u += grow * self.model.background.profile.values[None, :] \
-                * self._background_c(ts)
-        return u
-
-    def _background_c(self, ts):
-        """C(t) = int_0^t e^{-as} w(s) ds for each t, shape (nt, nodes)."""
-        bg = self.model.background
-        idx = np.minimum((ts / self.beta_q).astype(int),
-                         self._ccum.shape[0] - 1)
-        base = self._ccum[idx]
-        lo = self._edges[idx]
-        half = (ts - lo) / 2.0
-        mids = (ts + lo) / 2.0
-        s = mids[:, None] + half[:, None] * self._xr[None, :]
-        w = bg.weight(s) * (half[:, None] * self._wr[None, :])
-        avals = self.generator.symbol.values
-        part = np.einsum("pm,pmx->px", w,
-                         np.exp(-np.multiply.outer(s, avals)))
-        return base + part
+    def _overflow(self):
+        return ModelError("the state overflows floating point: max(a) * "
+                          "horizon = %g" % (self._lam[-1] * self.horizon))
 
 
 def evolve_state(model, a, t, q=None, beta_q=DEFAULT_BETA_Q):
@@ -290,8 +295,7 @@ def evolve_state(model, a, t, q=None, beta_q=DEFAULT_BETA_Q):
     avals = a.symbol.values
     u = np.exp(avals * t) * model.u0.values
     for c in model.catalysts:
-        if c.t_intake < t:
-            u += _catalyst_values(avals, c, np.asarray([t]))[0]
+        u += _phi(avals, c.rho, [t - c.t_intake])[0] * c.h.values
     bg = model.background
     if not bg.is_zero and t > 0:
         panels = max(int(np.ceil(t / beta_q)), 1)

@@ -6,6 +6,7 @@ of sampled scalars use the same rules over arbitrary intervals.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,9 +99,18 @@ class Quadrature:
         return float(np.dot(w, fn(t)))
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(points):
+    """Gauss-Legendre nodes/weights on [-1, 1], computed once per count."""
+    xr, wr = np.polynomial.legendre.leggauss(points)
+    xr.setflags(write=False)
+    wr.setflags(write=False)
+    return xr, wr
+
+
 def gauss_panels(a, b, panels, order):
     """Composite Gauss-Legendre nodes/weights over [a, b]."""
-    xr, wr = np.polynomial.legendre.leggauss(order)
+    xr, wr = gauss_legendre(order)
     edges = np.linspace(a, b, panels + 1)
     half = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[1:] + edges[:-1]) / 2.0

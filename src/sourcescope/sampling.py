@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, InputError, RangeError
-from .hilbert import trapezoid_weights
-from .dynamics import Trajectory
+from .hilbert import gauss_legendre, trapezoid_weights
 
 _NOISE_MODES = ("uniform", "adversarial_alternating", "zero")
 _FAMILY_CODES = {"m": 1, "s": 2, "laplace": 3, "laplace0": 4}
@@ -36,6 +35,9 @@ class MeasurementConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("beta", "horizon", "sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise InputError("%s must be finite" % name)
         if self.beta <= 0:
             raise InputError("beta must be positive")
         if self.horizon <= 0:
@@ -137,33 +139,27 @@ def _interval_quad(n, beta, kinks, points=GL_POINTS):
     e^{-s tau} of the Laplace family is evaluated with an exact offset
     (tau = t - n beta computed by subtraction would shift the phase by
     ~|s| eps |t|, which dominates the error budget late in the horizon);
-    returns (t_absolute, tau_local, weights).
+    returns (tau_local, weights).
     """
     a, b = n * beta, (n + 1) * beta
     cuts = sorted(t - a for t in kinks if a + 1e-14 < t < b - 1e-14)
     edges = [0.0] + cuts + [beta]
-    xr, wr = np.polynomial.legendre.leggauss(points)
+    xr, wr = gauss_legendre(points)
     taus, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
         taus.append(mid + half * xr)
         ws.append(half * wr)
-    tau = np.concatenate(taus)
-    return a + tau, tau, np.concatenate(ws)
-
-
-def _check_horizon(t_needed, cfg, what):
-    if t_needed > cfg.horizon + 1e-9:
-        raise RangeError(
-            "%s needs the trajectory at t = %g beyond horizon %g"
-            % (what, t_needed, cfg.horizon))
+    return np.concatenate(taus), np.concatenate(ws)
 
 
 class Sampler:
     """Batch evaluator of all measurement families for one trajectory.
 
-    Sensor inner products are precomputed on shared Gauss nodes; the fine
-    s-family states are evaluated lazily per index.  Standalone helpers
+    The trajectory projects onto the columns w g_i and w a g_i of every
+    sensor (w the trapezoid weights) at the shared Gauss nodes and window
+    edges, without forming states; the fine s-family projections are
+    evaluated lazily per time.  Standalone helpers
     `sample_m`/`sample_s`/`sample_laplace` produce identical values one at
     a time.
     """
@@ -188,52 +184,47 @@ class Sampler:
         beta = cfg.beta
         kinks = [c.t_intake for c in traj.model.catalysts]
         n_itv = cfg.n_max + 1
-        tq_parts, tau_parts, wq_parts, offsets = [], [], [], [0]
-        for n in range(n_itv):
-            t, tau, w = _interval_quad(n, beta, kinks, gl_points)
-            tq_parts.append(t)
-            tau_parts.append(tau)
-            wq_parts.append(w)
-            offsets.append(offsets[-1] + t.size)
-        self._tq = np.concatenate(tq_parts)
-        self._tau = np.concatenate(tau_parts)
-        self._wq = np.concatenate(wq_parts)
-        self._offsets = np.asarray(offsets[:-1])
-        self._te = np.arange(n_itv + 1) * beta
-        uq = traj.state_values(self._tq)
-        ue = traj.state_values(self._te)
-        wtrap = trapezoid_weights(nodes)
-        avals = traj.generator.symbol.values
-        self._per_sensor = {}
-        for sid, g in self.sensors.items():
-            wg = wtrap * g.values
-            wag = wg * avals
-            ug_q = uq @ wg
-            uag_q = uq @ wag
-            ug_e = ue @ wg
-            uag_e = ue @ wag
-            m0 = (ug_e[1:] - ug_e[:-1]) / beta \
-                - np.add.reduceat(uag_q * self._wq, self._offsets) / beta
-            self._per_sensor[sid] = {
-                "wg": wg, "wag": wag, "ug_q": ug_q, "uag_q": uag_q,
-                "ug_e": ug_e, "uag_e": uag_e, "m0": m0, "lap": {},
-            }
+        # windows away from every intake share one set of local nodes
+        plain = _interval_quad(0, beta, [], gl_points)
+        near = {int(t // beta) + k for t in kinks for k in (-1, 0, 1)}
+        quads = [_interval_quad(n, beta, kinks, gl_points) if n in near
+                 else plain for n in range(n_itv)]
+        sizes = [tau.size for tau, _ in quads]
+        self._tau = np.concatenate([tau for tau, _ in quads])
+        self._wq = np.concatenate([w for _, w in quads])[:, None]
+        self._offsets = np.cumsum(sizes) - sizes
+        tq = np.repeat(np.arange(n_itv) * beta, sizes) + self._tau
+        # column i is w g_i and column i + len(sensors) is w a g_i
+        self._index = {sid: i for i, sid in enumerate(self.sensors)}
+        wg = trapezoid_weights(nodes)[:, None] * np.column_stack(
+            [g.values for g in self.sensors.values()])
+        self._W = np.hstack([wg, wg * traj.generator.symbol.values[:, None]])
+        self._pq = traj.projected(tq, self._W)
+        self._pe = traj.projected(np.arange(n_itv + 1) * beta, self._W)
+        self._ns = ns = len(self.sensors)
+        self._m0 = (self._pe[1:, :ns] - self._pe[:-1, :ns]) / beta \
+            - self._window_sums(self._pq[:, ns:]) / beta
+        self._lap = {}
         self._fine_cache = {}
 
-    def _laplace0(self, sid, k):
-        """Noiseless Laplace stream for frequency index k (k = 0 allowed)."""
-        data = self._per_sensor[sid]
-        if k not in data["lap"]:
-            s = 2j * np.pi * k / self.cfg.beta
-            integrand = np.exp(-s * self._tau) * (
-                s * data["ug_q"] - data["uag_q"])
-            data["lap"][k] = np.add.reduceat(
-                integrand * self._wq, self._offsets) / self.cfg.beta ** 2
-        return data["lap"][k]
+    def _window_sums(self, values):
+        """Gauss integral of each column of `values` over every window."""
+        return np.add.reduceat(values * self._wq, self._offsets)
 
-    def _fine_state(self, t):
+    def _laplace0(self, k):
+        """Noiseless Laplace streams for frequency index k (k = 0 allowed),
+        one column per sensor."""
+        if k not in self._lap:
+            s = 2j * np.pi * k / self.cfg.beta
+            integrand = np.exp(-s * self._tau)[:, None] * (
+                s * self._pq[:, :self._ns] - self._pq[:, self._ns:])
+            self._lap[k] = self._window_sums(integrand) / self.cfg.beta ** 2
+        return self._lap[k]
+
+    def _fine(self, t):
+        """Projections of u(t) onto every sensor column."""
         if t not in self._fine_cache:
-            self._fine_cache[t] = self.traj.state_values(np.asarray([t]))[0]
+            self._fine_cache[t] = self.traj.projected([t], self._W)[0]
         return self._fine_cache[t]
 
     def m(self, n, sensor_id):
@@ -243,8 +234,7 @@ class Sampler:
                 "m measurement at n = %d needs (n+1)beta <= horizon" % n)
         nu = self.noise.real("m", sensor_id, n)
         return MeasurementRecord(
-            "m", n, sensor_id,
-            self._per_sensor[sensor_id]["m0"][n] + nu, nu)
+            "m", n, sensor_id, self._m0[n, self._index[sensor_id]] + nu, nu)
 
     def s(self, n, sensor_id, n_sub=None):
         cfg = self.cfg
@@ -253,16 +243,14 @@ class Sampler:
         t0 = n * cfg.beta
         if n < 0:
             raise RangeError("s measurement index must be nonnegative")
-        _check_horizon(t0 + bfine, cfg, "s measurement at n = %d" % n)
-        data = self._per_sensor[sensor_id]
-        if n <= cfg.n_max + 1:
-            ug0, uag0 = data["ug_e"][n], data["uag_e"][n]
-        else:
-            u0 = self._fine_state(t0)
-            ug0 = float(u0 @ data["wg"])
-            uag0 = float(u0 @ data["wag"])
-        u1 = self._fine_state(t0 + bfine)
-        ug1 = float(u1 @ data["wg"])
+        if t0 + bfine > cfg.horizon + 1e-9:
+            raise RangeError(
+                "s measurement at n = %d needs the trajectory at t = %g "
+                "beyond horizon %g" % (n, t0 + bfine, cfg.horizon))
+        i = self._index[sensor_id]
+        start = self._pe[n] if n <= cfg.n_max + 1 else self._fine(t0)
+        ug0, uag0 = start[i], start[i + self._ns]
+        ug1 = float(self._fine(t0 + bfine)[i])
         value = (ug1 - ug0) / (bfine * cfg.beta) - uag0 / cfg.beta
         nu = self.noise.real("s", sensor_id, n)
         return MeasurementRecord("s", n, sensor_id, value + nu, nu)
@@ -279,27 +267,22 @@ class Sampler:
         nu = self.noise.complex_(family, sensor_id, ell)
         return MeasurementRecord(
             family, ell, sensor_id,
-            self._laplace0(sensor_id, kk)[ell] + nu, nu)
-
-
-def _single_sensor_sampler(traj, g, cfg, sensor_id):
-    return Sampler(traj, [(sensor_id, g)], cfg)
+            self._laplace0(kk)[ell, self._index[sensor_id]] + nu, nu)
 
 
 def sample_m(traj, g, n, cfg, sensor_id="g"):
     """One m-family record (standalone path, builds its own quadrature)."""
-    return _single_sensor_sampler(traj, g, cfg, sensor_id).m(n, sensor_id)
+    return Sampler(traj, [(sensor_id, g)], cfg).m(n, sensor_id)
 
 
 def sample_s(traj, g, n, cfg, sensor_id="g"):
     """One s-family record."""
-    return _single_sensor_sampler(traj, g, cfg, sensor_id).s(n, sensor_id)
+    return Sampler(traj, [(sensor_id, g)], cfg).s(n, sensor_id)
 
 
 def sample_laplace(traj, g, ell, cfg, sensor_id="g", k=None):
     """One Laplace record; k = 0 gives the subtrahend of Delta_{s,l}."""
-    return _single_sensor_sampler(
-        traj, g, cfg, sensor_id).laplace(ell, sensor_id, k)
+    return Sampler(traj, [(sensor_id, g)], cfg).laplace(ell, sensor_id, k)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +315,7 @@ def oracle_m_expansion(model, g, n, cfg):
                 / (-c.rho * beta)
     bg = model.background
     if not bg.is_zero:
-        xr, wr = np.polynomial.legendre.leggauss(16)
+        xr, wr = gauss_legendre(16)
         t = (lo + hi) / 2.0 + (beta / 2.0) * xr
         w = (beta / 2.0) * wr
         total += _inner_trap(bg.profile, g) * float(
@@ -378,7 +361,7 @@ def oracle_delta_laplace(model, g, ell, cfg):
         total += hg * num / denom
     bg = model.background
     if not bg.is_zero:
-        xr, wr = np.polynomial.legendre.leggauss(GL_POINTS)
+        xr, wr = gauss_legendre(GL_POINTS)
         t = (lo + hi) / 2.0 + (beta / 2.0) * xr
         w = (beta / 2.0) * wr
         pg = _inner_trap(bg.profile, g)

@@ -146,8 +146,12 @@ class TestResolveThreads:
         monkeypatch.delenv(bench.THREADS_ENV)
         assert resolve_threads(7) == 7
         assert resolve_threads() >= 1
-        monkeypatch.setenv(bench.THREADS_ENV, "0")
-        assert resolve_threads() == 1
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_bad_env_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv(bench.THREADS_ENV, value)
+        with pytest.raises(InputError, match=bench.THREADS_ENV):
+            resolve_threads(2)
 
 
 class TestCli:
@@ -181,6 +185,25 @@ class TestCli:
                      "--out", str(tmp_path / "o"), "--sweep",
                      "gamma=1,2"])
         assert code == 2
+
+    def test_bad_threads_env_exit_2(self, scenario_file, tmp_path,
+                                    monkeypatch, capsys):
+        monkeypatch.setenv(bench.THREADS_ENV, "abc")
+        code = main(["simulate", "--scenario", scenario_file,
+                     "--out", str(tmp_path / "o"), "--sweep", "sigma=1e-3",
+                     "--reps", "1"])
+        assert code == 2
+        assert "error: %s" % bench.THREADS_ENV in capsys.readouterr().err
+
+    def test_overflowing_generator_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "hot.scenario"
+        path.write_text(json.dumps(ss.paper_scenario(
+            generator={"kind": "const", "c": 200.0})))
+        code = main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "max(a) * horizon = 1000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_certificate_violation_exit_3(self, scenario_file, tmp_path,
                                           monkeypatch, capsys):

@@ -224,3 +224,108 @@ class TestTrajectory:
         x = np.linspace(0, 1, NODES)
         ref = x * np.trapezoid(integrand, s, axis=1)
         assert np.allclose(traj.state(t).values, ref, rtol=1e-7, atol=1e-9)
+
+
+def _full_model(kind, L=0.25):
+    return SourceModel(
+        u0=gf(lambda x: np.cos(x)),
+        catalysts=(Catalyst(gf(lambda x: np.sin(x) + 1.0), 1.5, 0.3),
+                   Catalyst(gf(lambda x: x), 2.5, 1.6)),
+        background=BackgroundSource(kind, L, gf(lambda x: x)),
+        D=1.0, H=2.0, rho_lo=1.0, rho_hi=3.0)
+
+
+GENERATORS = {
+    "const": lambda x: 0.7 + 0.0 * x,
+    "linear": lambda x: 1.0 - 0.5 * x,
+    # repeated symbol values: five distinct levels over 65 nodes
+    "custom-grid": lambda x: np.round(4.0 * x) / 4.0 - 0.5,
+}
+
+
+class TestClosedFormEngine:
+    @pytest.mark.parametrize("kind", ["exp_decay", "sinusoid"])
+    @pytest.mark.parametrize("symbol", sorted(GENERATORS))
+    def test_matches_evolve_state(self, kind, symbol):
+        model = _full_model(kind)
+        gen = MultiplicationGenerator(gf(GENERATORS[symbol]))
+        traj = Trajectory(model, gen, horizon=2.0)
+        for t in (0.0, 0.3, 0.95, 1.6, 2.0):
+            ref = evolve_state(model, gen, t).values
+            assert np.allclose(traj.state(t).values, ref,
+                               rtol=1e-10, atol=1e-11)
+
+    @pytest.mark.parametrize("kind", ["exp_decay", "sinusoid"])
+    def test_projected_equals_state_values(self, kind):
+        model = _full_model(kind)
+        gen = MultiplicationGenerator(gf(GENERATORS["custom-grid"]))
+        traj = Trajectory(model, gen, horizon=2.0)
+        ts = np.linspace(0.0, 2.0, 2501)  # more than one chunk
+        W = np.column_stack([np.ones(NODES), np.linspace(0, 1, NODES),
+                             gen.symbol.values])
+        assert np.allclose(traj.projected(ts, W), traj.state_values(ts) @ W,
+                           rtol=1e-12, atol=1e-13)
+
+    def test_spectral_grouping(self):
+        gen = MultiplicationGenerator(gf(GENERATORS["custom-grid"]))
+        traj = Trajectory(_full_model("exp_decay"), gen, horizon=2.0)
+        assert np.array_equal(traj._lam, [-0.5, -0.25, 0.0, 0.25, 0.5])
+
+    def test_zero_model(self, gen):
+        model = SourceModel(
+            u0=GridFunction.zeros(NODES), catalysts=(),
+            background=zero_background(NODES),
+            D=1.0, H=1.0, rho_lo=1.0, rho_hi=3.0)
+        traj = Trajectory(model, gen, horizon=1.0)
+        assert not np.any(traj.projected([0.0, 0.5], np.ones((NODES, 2))))
+        assert not np.any(traj.state(1.0).values)
+
+    @pytest.mark.parametrize("gap", [0.0, 3e-10, 1e-6])
+    def test_singular_branch(self, gap):
+        """a + L (background) and a + rho (catalyst) near or at zero."""
+        L, rho = 0.3, 1.5
+        model = SourceModel(
+            u0=GridFunction.zeros(NODES),
+            catalysts=(Catalyst(gf(lambda x: x + 1.0), rho, 0.2),),
+            background=BackgroundSource("exp_decay", L, gf(lambda x: x)),
+            D=1.0, H=2.0, rho_lo=1.0, rho_hi=3.0)
+        x = np.linspace(0, 1, NODES)
+        # half the nodes sit at a = -L + gap, half at a = -rho + gap
+        symbol = np.where(x < 0.5, -L, -rho) + gap
+        gen = MultiplicationGenerator(GridFunction(symbol))
+        traj = Trajectory(model, gen, horizon=2.0)
+        # below SINGULAR_TOL the limit drops a relative term ~ |a + r| t / 2
+        limit_err = gap if gap < ss.dynamics.SINGULAR_TOL else 0.0
+        for t in (0.2, 1.1, 2.0):
+            ref = evolve_state(model, gen, t).values
+            assert np.allclose(traj.state(t).values, ref,
+                               rtol=1e-10 + limit_err * t, atol=1e-12)
+        # the limit t e^{-rt} of the singular term, plus the regular term
+        t, tau = 2.0, 1.8
+        a = symbol
+        with np.errstate(invalid="ignore"):  # 0/0 in the unselected branch
+            bg = np.where(x < 0.5, t * np.exp(-L * t),
+                          (np.exp(a * t) - np.exp(-L * t)) / (a + L)) * x
+            cat = np.where(x >= 0.5, tau * np.exp(-rho * tau),
+                           (np.exp(a * tau) - np.exp(-rho * tau)) / (a + rho))
+        assert np.allclose(traj.state(t).values, bg + cat * (x + 1.0),
+                           rtol=2e-6, atol=0.0)
+
+
+class TestNumericalHealth:
+    def test_overflow_raises_model_error(self):
+        gen = MultiplicationGenerator(gf(lambda x: 200.0 + 0.0 * x))
+        traj = Trajectory(_full_model("exp_decay"), gen, horizon=5.0)
+        with pytest.raises(ModelError, match="max\\(a\\) \\* horizon = 1000"):
+            traj.state_values([4.5])
+        with pytest.raises(ModelError, match="horizon = 1000"):
+            traj.projected([4.5], np.ones((NODES, 1)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["exp_decay", "sinusoid"])
+    def test_strong_decay_runs_cleanly(self, kind):
+        data = ss.paper_scenario(generator={"kind": "const", "c": -50.0})
+        data["background"]["kind"] = kind
+        outcome = ss.run_scenario(ss.build_scenario(data))
+        assert all(np.isfinite(complex(r.value)) for r in outcome.records)
+        assert outcome.all_satisfied

@@ -12,9 +12,10 @@ from sourcescope.dynamics import (BackgroundSource, Catalyst,
                                   zero_background)
 from sourcescope.errors import (DataError, InputError, ModelError,
                                 RangeError)
-from sourcescope.hilbert import gauss_panels, trapezoid_weights
-from sourcescope.sampling import (NoiseBank, Sampler, oracle_delta_laplace,
-                                  oracle_m_expansion)
+from sourcescope.hilbert import (gauss_legendre, gauss_panels,
+                                 trapezoid_weights)
+from sourcescope.sampling import (GL_POINTS, NoiseBank, Sampler,
+                                  oracle_delta_laplace, oracle_m_expansion)
 
 NODES = 65
 
@@ -57,6 +58,21 @@ class TestConfig:
             MeasurementConfig(sigma=-1.0, **good)
         with pytest.raises(InputError):
             MeasurementConfig(noise_mode="gaussian", **good)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_beta(self, value):
+        with pytest.raises(InputError, match="beta must be finite"):
+            MeasurementConfig(beta=value, horizon=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_horizon(self, value):
+        with pytest.raises(InputError, match="horizon must be finite"):
+            MeasurementConfig(beta=0.01, horizon=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sigma(self, value):
+        with pytest.raises(InputError, match="sigma must be finite"):
+            MeasurementConfig(beta=0.01, horizon=1.0, sigma=value)
 
     def test_derived(self):
         cfg = MeasurementConfig(beta=0.01, horizon=5.0, N=100)
@@ -183,6 +199,25 @@ class TestSampler:
                                  N=cfg.N)
         v2 = sample_s(traj, g, 8, cfg2).value  # same physical time
         assert v2 / v1 == pytest.approx(2.0, rel=0.02)
+
+    def test_gauss_legendre_computed_once_per_count(self, setup,
+                                                   monkeypatch):
+        model, gen, cfg, traj, g = setup
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(points):
+            calls.append(points)
+            return real(points)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        gauss_legendre.cache_clear()
+        try:
+            Sampler(traj, [("g", g)], cfg)
+            Sampler(traj, [("g", g), ("h", gf(lambda x: 1.0))], cfg)
+        finally:
+            gauss_legendre.cache_clear()
+        assert calls == [GL_POINTS]
 
 
 class TestOracles:
